@@ -90,17 +90,18 @@ type backend interface {
 // hwBackend adapts the core.Controller.
 type hwBackend struct {
 	ctrl *core.Controller
-	reqs map[core.ReqID]*request
-	next core.ReqID
+	// owners maps a controller-side request's Owner index to the cluster
+	// request it stands for; nil entries belong to objects in hwFree.
+	owners []*request
+	next   core.ReqID
 	// hwFree recycles controller-side request objects: one is live per
 	// in-flight request, so completions feed enqueues without allocating.
+	// Each object keeps its Owner index for life.
 	hwFree []*core.Request
 }
 
-func newHWBackend(cfg Config) *hwBackend {
-	ctrl := core.DefaultController()
-	b := &hwBackend{ctrl: ctrl, reqs: make(map[core.ReqID]*request)}
-	return b
+func newHWBackend() *hwBackend {
+	return &hwBackend{ctrl: core.DefaultController()}
 }
 
 func (b *hwBackend) addVM(vmIdx int, isPrimary bool, mask core.HarvestMask) {
@@ -118,9 +119,9 @@ func (b *hwBackend) bindCore(coreID, vmIdx int) {
 func (b *hwBackend) enqueue(r *request) (wakeInfo, bool) {
 	b.next++
 	hw := b.allocHW()
-	*hw = core.Request{ID: b.next, VM: core.VMID(r.vmIdx), PayloadAddr: uint64(r.id) << 6}
+	*hw = core.Request{ID: b.next, VM: core.VMID(r.vmIdx), PayloadAddr: uint64(r.id) << 6, Owner: hw.Owner}
 	r.hw = hw
-	b.reqs[r.hw.ID] = r
+	b.owners[hw.Owner] = r
 	_, wake, err := b.ctrl.Enqueue(core.VMID(r.vmIdx), r.hw)
 	if err != nil {
 		panic(err)
@@ -134,7 +135,8 @@ func (b *hwBackend) allocHW() *core.Request {
 		b.hwFree = b.hwFree[:n-1]
 		return hw
 	}
-	return new(core.Request)
+	b.owners = append(b.owners, nil)
+	return &core.Request{Owner: int32(len(b.owners) - 1)}
 }
 
 func toWake(w core.WakeDecision) (wakeInfo, bool) {
@@ -152,7 +154,7 @@ func (b *hwBackend) dequeue(coreID int, allowLoan bool) (*request, bool) {
 	if hr == nil {
 		return nil, false
 	}
-	return b.reqs[hr.ID], cross
+	return b.owners[hr.Owner], cross
 }
 
 func (b *hwBackend) dequeueFrom(vmIdx, coreID int) *request {
@@ -163,7 +165,7 @@ func (b *hwBackend) complete(coreID int, r *request) {
 	if err := b.ctrl.Complete(core.CoreID(coreID), r.hw); err != nil {
 		panic(err)
 	}
-	delete(b.reqs, r.hw.ID)
+	b.owners[r.hw.Owner] = nil
 	b.hwFree = append(b.hwFree, r.hw)
 	r.hw = nil
 }

@@ -364,7 +364,7 @@ func NewServer(cfg Config, opts Options, work *batch.Workload) *Server {
 		s.sw = newSWBackend(numVMs, cfg.CoresPerServer)
 		s.be = s.sw
 	} else {
-		s.hw = newHWBackend(cfg)
+		s.hw = newHWBackend()
 		s.be = s.hw
 		mask := core.DefaultHarvestMask([core.NumMaskedStructs]int{12, 8, 8, 4, 8})
 		for i := 0; i < cfg.PrimaryVMs; i++ {

@@ -10,15 +10,13 @@ import "fmt"
 type Controller struct {
 	rq     *RQ
 	maxQMs int
-	qms    map[VMID]*QueueManager
+	// qms is the QM register file, indexed by VMID; nil marks a free ID.
+	qms []*QueueManager
 	// vmOrder preserves registration order for deterministic decisions.
 	vmOrder []VMID
 
-	binding     map[CoreID]VMID // MyManager registers
-	coreState   map[CoreID]CoreState
-	coreRunning map[CoreID]*Request
-	runningVM   map[CoreID]VMID // VM of the request a core runs
-	lastVM      map[CoreID]VMID // VM whose state is resident in the core's caches
+	// cores holds each core's controller-side registers, indexed by CoreID.
+	cores []coreSlot
 
 	// nextHarvest rotates loan targets across Harvest VMs.
 	nextHarvest int
@@ -26,11 +24,48 @@ type Controller struct {
 	// every idle-primary dequeue, so it reuses one buffer instead of
 	// allocating per call.
 	hvmScratch []VMID
+	// targetScratch backs Rebalance's per-VM chunk targets, aligned with
+	// vmOrder.
+	targetScratch []int
 
 	// Stats.
 	loans    uint64
 	reclaims uint64
 	wakes    uint64
+}
+
+// coreSlot is one core's registers in the controller: its MyManager binding
+// and the run state the controller tracks for it. The zero slot is an
+// unbound, idle core.
+type coreSlot struct {
+	vm        VMID // MyManager register, valid when bound
+	state     CoreState
+	running   *Request
+	runningVM VMID // VM of the running request
+	lastVM    VMID // VM whose state is resident in the core's caches, valid when hasLast
+	bound     bool
+	hasLast   bool
+}
+
+// maxID bounds CoreID and VMID values: controller state is stored densely,
+// indexed by ID, like the register files it models.
+const maxID = 1 << 20
+
+// goIdle clears the core's running request and marks it idle.
+func (s *coreSlot) goIdle() {
+	s.running = nil
+	s.runningVM = 0
+	s.state = CoreIdle
+}
+
+// assign puts r, of vm, on the core in the given state and reports whether
+// that moves the core across VMs.
+func (s *coreSlot) assign(r *Request, vm VMID, state CoreState) (crossVM bool) {
+	crossVM = s.hasLast && s.lastVM != vm
+	s.running, s.runningVM = r, vm
+	s.hasLast, s.lastVM = true, vm
+	s.state = state
+	return crossVM
 }
 
 // NewController builds a controller with the given RQ geometry and QM count
@@ -39,16 +74,7 @@ func NewController(numChunks, chunkEntries, maxQMs int) *Controller {
 	if maxQMs <= 0 {
 		panic("core: controller needs at least one QM")
 	}
-	return &Controller{
-		rq:          NewRQ(numChunks, chunkEntries),
-		maxQMs:      maxQMs,
-		qms:         make(map[VMID]*QueueManager),
-		binding:     make(map[CoreID]VMID),
-		coreState:   make(map[CoreID]CoreState),
-		coreRunning: make(map[CoreID]*Request),
-		runningVM:   make(map[CoreID]VMID),
-		lastVM:      make(map[CoreID]VMID),
-	}
+	return &Controller{rq: NewRQ(numChunks, chunkEntries), maxQMs: maxQMs}
 }
 
 // DefaultController builds a controller with Table 1 parameters.
@@ -60,7 +86,20 @@ func DefaultController() *Controller {
 func (c *Controller) RQ() *RQ { return c.rq }
 
 // QM returns the Queue Manager serving vm, or nil.
-func (c *Controller) QM(vm VMID) *QueueManager { return c.qms[vm] }
+func (c *Controller) QM(vm VMID) *QueueManager {
+	if vm < 0 || int(vm) >= len(c.qms) {
+		return nil
+	}
+	return c.qms[vm]
+}
+
+// slot returns core's registers, or nil when core is outside the table.
+func (c *Controller) slot(core CoreID) *coreSlot {
+	if core < 0 || int(core) >= len(c.cores) {
+		return nil
+	}
+	return &c.cores[core]
+}
 
 // VMs returns the registered VMs in registration order.
 func (c *Controller) VMs() []VMID {
@@ -78,14 +117,20 @@ func (c *Controller) Reclaims() uint64 { return c.reclaims }
 // AddVM registers a VM: it is assigned a Queue Manager and a VM State
 // Register Set, and the RQ chunk shares are rebalanced (§4.1.2).
 func (c *Controller) AddVM(vm VMID, isPrimary bool, mask HarvestMask) error {
-	if _, ok := c.qms[vm]; ok {
+	if vm < 0 || vm >= maxID {
+		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
+	}
+	if c.QM(vm) != nil {
 		return fmt.Errorf("%w: %d", ErrVMExists, vm)
 	}
-	if len(c.qms) >= c.maxQMs {
+	if len(c.vmOrder) >= c.maxQMs {
 		return ErrNoQMAvail
 	}
 	qm := newQueueManager(vm, isPrimary, c.rq.NumChunks())
 	qm.SetMask(mask)
+	for int(vm) >= len(c.qms) {
+		c.qms = append(c.qms, nil)
+	}
 	c.qms[vm] = qm
 	c.vmOrder = append(c.vmOrder, vm)
 	c.Rebalance()
@@ -95,29 +140,23 @@ func (c *Controller) AddVM(vm VMID, isPrimary bool, mask HarvestMask) error {
 // RemoveVM deregisters a VM; its chunks return to the pool and are
 // redistributed to the remaining VMs.
 func (c *Controller) RemoveVM(vm VMID) error {
-	qm, ok := c.qms[vm]
-	if !ok {
+	qm := c.QM(vm)
+	if qm == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
 	for qm.rqMap.Len() > 0 {
 		qm.rqMap.DropTail()
 	}
 	c.rq.release(vm)
-	delete(c.qms, vm)
+	c.qms[vm] = nil
 	for i, v := range c.vmOrder {
 		if v == vm {
 			c.vmOrder = append(c.vmOrder[:i], c.vmOrder[i+1:]...)
 			break
 		}
 	}
-	for core, b := range c.binding {
-		if b == vm {
-			delete(c.binding, core)
-			delete(c.coreState, core)
-			delete(c.coreRunning, core)
-			delete(c.runningVM, core)
-			delete(c.lastVM, core)
-		}
+	for _, core := range qm.boundCores {
+		c.cores[core] = coreSlot{}
 	}
 	c.Rebalance()
 	return nil
@@ -125,32 +164,49 @@ func (c *Controller) RemoveVM(vm VMID) error {
 
 // BindCore sets a core's MyManager register to vm's QM.
 func (c *Controller) BindCore(core CoreID, vm VMID) error {
-	if _, ok := c.qms[vm]; !ok {
+	qm := c.QM(vm)
+	if qm == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
-	if _, bound := c.binding[core]; bound {
+	if core < 0 || core >= maxID {
+		return fmt.Errorf("%w: %d", ErrUnknownCore, core)
+	}
+	for int(core) >= len(c.cores) {
+		c.cores = append(c.cores, coreSlot{})
+	}
+	s := &c.cores[core]
+	if s.bound {
 		return fmt.Errorf("%w: core %d", ErrCoreBound, core)
 	}
-	c.binding[core] = vm
-	c.coreState[core] = CoreIdle
-	c.qms[vm].boundCores[core] = true
+	*s = coreSlot{bound: true, vm: vm, state: CoreIdle}
+	qm.bindCore(core)
 	c.Rebalance()
 	return nil
 }
 
 // Binding reports the VM a core is bound to.
 func (c *Controller) Binding(core CoreID) (VMID, bool) {
-	vm, ok := c.binding[core]
-	return vm, ok
+	if s := c.slot(core); s != nil && s.bound {
+		return s.vm, true
+	}
+	return 0, false
 }
 
 // State reports a core's controller-tracked state.
-func (c *Controller) State(core CoreID) CoreState { return c.coreState[core] }
+func (c *Controller) State(core CoreID) CoreState {
+	if s := c.slot(core); s != nil {
+		return s.state
+	}
+	return CoreIdle
+}
 
 // Running reports the request a core currently executes (nil if none) and
 // the VM it belongs to.
 func (c *Controller) Running(core CoreID) (*Request, VMID) {
-	return c.coreRunning[core], c.runningVM[core]
+	if s := c.slot(core); s != nil {
+		return s.running, s.runningVM
+	}
+	return nil, 0
 }
 
 // Rebalance recomputes each VM's chunk share in proportion to its bound
@@ -168,7 +224,7 @@ func (c *Controller) Rebalance() {
 		}
 		totalCores += n
 	}
-	targets := make(map[VMID]int, len(c.vmOrder))
+	targets := c.targetScratch[:0]
 	sum := 0
 	for _, vm := range c.vmOrder {
 		n := len(c.qms[vm].boundCores)
@@ -179,15 +235,16 @@ func (c *Controller) Rebalance() {
 		if t < 1 {
 			t = 1
 		}
-		targets[vm] = t
+		targets = append(targets, t)
 		sum += t
 	}
+	c.targetScratch = targets
 	// Trim if the minimums overshoot the physical chunks.
 	for sum > c.rq.NumChunks() {
 		trimmed := false
-		for _, vm := range c.vmOrder {
-			if targets[vm] > 1 {
-				targets[vm]--
+		for i := range targets {
+			if targets[i] > 1 {
+				targets[i]--
 				sum--
 				trimmed = true
 				if sum == c.rq.NumChunks() {
@@ -200,17 +257,17 @@ func (c *Controller) Rebalance() {
 		}
 	}
 	// Shrink donors first so chunks return to the free pool.
-	for _, vm := range c.vmOrder {
+	for i, vm := range c.vmOrder {
 		qm := c.qms[vm]
-		for qm.rqMap.Len() > targets[vm] {
+		for qm.rqMap.Len() > targets[i] {
 			ch := qm.rqMap.DropTail()
 			c.rq.transfer(ch, -1)
 		}
 	}
 	// Grow receivers from the pool.
-	for _, vm := range c.vmOrder {
+	for i, vm := range c.vmOrder {
 		qm := c.qms[vm]
-		for qm.rqMap.Len() < targets[vm] {
+		for qm.rqMap.Len() < targets[i] {
 			ch := c.rq.allocFree(vm)
 			if ch < 0 {
 				break
@@ -241,8 +298,8 @@ type WakeDecision struct {
 // (§4.1.3) and returns the controller's wake decision, if any
 // (wake.Valid reports whether there is one).
 func (c *Controller) Enqueue(vm VMID, r *Request) (toOverflow bool, wake WakeDecision, err error) {
-	qm, ok := c.qms[vm]
-	if !ok {
+	qm := c.QM(vm)
+	if qm == nil {
 		return false, WakeDecision{}, fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
 	if r.VM != vm {
@@ -255,8 +312,8 @@ func (c *Controller) Enqueue(vm VMID, r *Request) (toOverflow bool, wake WakeDec
 // Unblock marks a blocked request ready again (the NIC received its network
 // response) and returns the wake decision (§4.1.5).
 func (c *Controller) Unblock(vm VMID, r *Request) (WakeDecision, error) {
-	qm, ok := c.qms[vm]
-	if !ok {
+	qm := c.QM(vm)
+	if qm == nil {
 		return WakeDecision{}, fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
 	if r.VM != vm {
@@ -271,27 +328,23 @@ func (c *Controller) Unblock(vm VMID, r *Request) (WakeDecision, error) {
 // notifyWork implements the QM's new-work check: wake an idle bound core if
 // one exists; otherwise, for a Primary VM, reclaim a loaned core (§4.1.5).
 func (c *Controller) notifyWork(qm *QueueManager) WakeDecision {
-	// Deterministic order: lowest core ID first.
-	var idle, loaned CoreID = -1, -1
-	for core := range qm.boundCores {
-		switch c.coreState[core] {
+	// Deterministic order: lowest core ID first (boundCores is ascending).
+	var loaned CoreID = -1
+	for _, core := range qm.boundCores {
+		s := &c.cores[core]
+		switch s.state {
 		case CoreIdle:
-			if idle < 0 || core < idle {
-				idle = core
-			}
+			s.state = coreNotified
+			c.wakes++
+			return WakeDecision{Core: core, Valid: true}
 		case CoreLoaned:
-			if loaned < 0 || core < loaned {
+			if loaned < 0 {
 				loaned = core
 			}
 		}
 	}
-	if idle >= 0 {
-		c.coreState[idle] = coreNotified
-		c.wakes++
-		return WakeDecision{Core: idle, Valid: true}
-	}
 	if qm.isPrimary && loaned >= 0 {
-		c.coreState[loaned] = coreNotified
+		c.cores[loaned].state = coreNotified
 		c.reclaims++
 		return WakeDecision{Core: loaned, Preempt: true, Valid: true}
 	}
@@ -307,23 +360,21 @@ const coreNotified CoreState = 100
 // VM request it was running is returned, Ready, to the front of the Harvest
 // VM's subqueue for another core to take (Figure 10). Returns that request.
 func (c *Controller) PreemptCore(core CoreID) (*Request, error) {
-	r := c.coreRunning[core]
-	if r == nil {
+	s := c.slot(core)
+	if s == nil || s.running == nil {
 		return nil, fmt.Errorf("%w: preempt of a core running nothing (core %d)", ErrBadTransition, core)
 	}
-	hvm := c.runningVM[core]
-	hqm, ok := c.qms[hvm]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownVM, hvm)
+	r := s.running
+	hqm := c.QM(s.runningVM)
+	if hqm == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownVM, s.runningVM)
 	}
 	if !hqm.preempt(r) {
 		return nil, fmt.Errorf("%w: preempt of %v request", ErrBadTransition, r.Status)
 	}
-	delete(c.coreRunning, core)
-	delete(c.runningVM, core)
 	// The core is between contexts until its next Dequeue; it no longer
 	// counts as loaned (its Harvest request is back in the queue).
-	c.coreState[core] = CoreIdle
+	s.goIdle()
 	return r, nil
 }
 
@@ -334,56 +385,38 @@ func (c *Controller) PreemptCore(core CoreID) (*Request, error) {
 // dequeue re-assigned the core across VMs (the cluster layer charges flush
 // and context-switch costs for cross-VM transitions).
 func (c *Controller) Dequeue(core CoreID, allowLoan bool) (r *Request, vm VMID, crossVM bool, err error) {
-	ownVM, ok := c.binding[core]
-	if !ok {
+	s := c.slot(core)
+	if s == nil || !s.bound {
 		return nil, -1, false, fmt.Errorf("%w: %d", ErrUnknownCore, core)
 	}
+	ownVM := s.vm
 	ownQM := c.qms[ownVM]
-	assign := func(r *Request, vm VMID, state CoreState) bool {
-		prev, had := c.lastVM[core]
-		c.coreRunning[core] = r
-		c.runningVM[core] = vm
-		c.lastVM[core] = vm
-		c.coreState[core] = state
-		return had && prev != vm
-	}
 	if r := ownQM.dequeue(); r != nil {
-		cross := assign(r, ownVM, CoreRunningOwn)
-		return r, ownVM, cross, nil
+		return r, ownVM, s.assign(r, ownVM, CoreRunningOwn), nil
 	}
-	goIdle := func() {
-		c.coreState[core] = CoreIdle
-		delete(c.coreRunning, core)
-		delete(c.runningVM, core)
+	if allowLoan && ownQM.isPrimary {
+		// Forward the core's request for work to a Harvest VM QM,
+		// round-robin over harvest VMs that have ready work.
+		if harvest := c.harvestVMsWithWork(); len(harvest) > 0 {
+			hvm := harvest[c.nextHarvest%len(harvest)]
+			c.nextHarvest++
+			if hr := c.qms[hvm].dequeue(); hr != nil {
+				c.loans++
+				return hr, hvm, s.assign(hr, hvm, CoreLoaned), nil
+			}
+		}
 	}
-	if !allowLoan || !ownQM.isPrimary {
-		goIdle()
-		return nil, ownVM, false, nil
-	}
-	// Forward the core's request for work to a Harvest VM QM, round-robin
-	// over harvest VMs that have ready work.
-	harvest := c.harvestVMsWithWork()
-	if len(harvest) == 0 {
-		goIdle()
-		return nil, ownVM, false, nil
-	}
-	hvm := harvest[c.nextHarvest%len(harvest)]
-	c.nextHarvest++
-	hr := c.qms[hvm].dequeue()
-	if hr == nil {
-		goIdle()
-		return nil, ownVM, false, nil
-	}
-	cross := assign(hr, hvm, CoreLoaned)
-	c.loans++
-	return hr, hvm, cross, nil
+	s.goIdle()
+	return nil, ownVM, false, nil
 }
 
 // LastVM reports the VM whose microarchitectural state was most recently
 // resident in the core's private caches/TLBs.
 func (c *Controller) LastVM(core CoreID) (VMID, bool) {
-	vm, ok := c.lastVM[core]
-	return vm, ok
+	if s := c.slot(core); s != nil && s.hasLast {
+		return s.lastVM, true
+	}
+	return 0, false
 }
 
 // harvestVMsWithWork returns the Harvest VMs holding ready work, in
@@ -404,44 +437,42 @@ func (c *Controller) harvestVMsWithWork() []VMID {
 // Complete informs the QM that the core finished its request; the slot is
 // freed and the core becomes idle (until its next Dequeue).
 func (c *Controller) Complete(core CoreID, r *Request) error {
-	vm, ok := c.runningVM[core]
-	if !ok || c.coreRunning[core] != r {
+	s := c.slot(core)
+	if s == nil || s.running == nil || s.running != r {
 		return fmt.Errorf("%w: complete of a request the core is not running", ErrBadTransition)
 	}
-	if !c.qms[vm].complete(r) {
+	qm := c.QM(s.runningVM)
+	if qm == nil || !qm.complete(r) {
 		return fmt.Errorf("%w: request not found in subqueue", ErrBadTransition)
 	}
-	delete(c.coreRunning, core)
-	delete(c.runningVM, core)
-	c.coreState[core] = CoreIdle
+	s.goIdle()
 	return nil
 }
 
 // Block informs the QM that the core's request stalled on I/O. The request's
 // pointer stays in the subqueue, marked Blocked; the core becomes idle.
 func (c *Controller) Block(core CoreID, r *Request) error {
-	vm, ok := c.runningVM[core]
-	if !ok || c.coreRunning[core] != r {
+	s := c.slot(core)
+	if s == nil || s.running == nil || s.running != r {
 		return fmt.Errorf("%w: block of a request the core is not running", ErrBadTransition)
 	}
-	if !c.qms[vm].block(r) {
+	qm := c.QM(s.runningVM)
+	if qm == nil || !qm.block(r) {
 		return fmt.Errorf("%w: block of %v request", ErrBadTransition, r.Status)
 	}
-	delete(c.coreRunning, core)
-	delete(c.runningVM, core)
-	c.coreState[core] = CoreIdle
+	s.goIdle()
 	return nil
 }
 
 // LoanedCores reports how many of vm's bound cores are currently on loan.
 func (c *Controller) LoanedCores(vm VMID) int {
-	qm, ok := c.qms[vm]
-	if !ok {
+	qm := c.QM(vm)
+	if qm == nil {
 		return 0
 	}
 	n := 0
-	for core := range qm.boundCores {
-		if c.coreState[core] == CoreLoaned {
+	for _, core := range qm.boundCores {
+		if c.cores[core].state == CoreLoaned {
 			n++
 		}
 	}

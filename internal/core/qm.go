@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // QueueManager is the hardware unit in charge of one VM's request subqueue
 // (Figure 9). It holds the RQ-Map, the VM State Register Set, the
 // HarvestMask, and per-VM loan bookkeeping for Primary VMs.
@@ -20,7 +22,9 @@ type QueueManager struct {
 	// overflow is the software In-memory Overflow Subqueue (§4.1.7), FIFO.
 	overflow reqRing
 
-	boundCores map[CoreID]bool
+	// boundCores lists the cores whose MyManager register points here, in
+	// ascending order, so scans visit the lowest core ID first.
+	boundCores []CoreID
 
 	// Stats.
 	enqueues         uint64
@@ -31,11 +35,16 @@ type QueueManager struct {
 
 func newQueueManager(vm VMID, isPrimary bool, maxChunks int) *QueueManager {
 	return &QueueManager{
-		vm:         vm,
-		isPrimary:  isPrimary,
-		rqMap:      NewRQMap(maxChunks),
-		boundCores: make(map[CoreID]bool),
+		vm:        vm,
+		isPrimary: isPrimary,
+		rqMap:     NewRQMap(maxChunks),
 	}
+}
+
+// bindCore adds core to boundCores, keeping it ascending.
+func (q *QueueManager) bindCore(core CoreID) {
+	i, _ := slices.BinarySearch(q.boundCores, core)
+	q.boundCores = slices.Insert(q.boundCores, i, core)
 }
 
 // VM reports the VM this QM serves.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,9 +34,16 @@ type model struct {
 	done    int
 }
 
+// Core IDs of the exerciser's controller: non-contiguous, and bound out of
+// order, so the dense per-core state is exercised with gaps.
+var (
+	primaryCores = []CoreID{9, 2, 5}
+	harvestCores = []CoreID{13, 0}
+)
+
 // exercise runs a random operation sequence against a 2-VM controller
-// (primary VM 1 with cores 0-2, harvest VM 2 with core 8) and checks
-// invariants after every step. Returns false on any violation.
+// (primary VM 1 with primaryCores, harvest VM 2 with harvestCores) and
+// checks invariants after every step. Returns false on any violation.
 func exercise(t *testing.T, seed uint64, steps int) bool {
 	rng := stats.NewRNG(seed)
 	m := &model{
@@ -51,15 +59,18 @@ func exercise(t *testing.T, seed uint64, steps int) bool {
 	if err := m.ctrl.AddVM(2, false, HarvestMask{}); err != nil {
 		return false
 	}
-	for _, c := range []CoreID{0, 1, 2} {
+	for _, c := range primaryCores {
 		if err := m.ctrl.BindCore(c, 1); err != nil {
 			return false
 		}
 	}
-	if err := m.ctrl.BindCore(8, 2); err != nil {
-		return false
+	for _, c := range harvestCores {
+		if err := m.ctrl.BindCore(c, 2); err != nil {
+			return false
+		}
 	}
-	cores := []CoreID{0, 1, 2, 8}
+	cores := append(append([]CoreID(nil), primaryCores...), harvestCores...)
+	isHarvest := func(c CoreID) bool { return slices.Contains(harvestCores, c) }
 
 	for i := 0; i < steps; i++ {
 		switch opKind(rng.Intn(int(numOps))) {
@@ -70,8 +81,15 @@ func exercise(t *testing.T, seed uint64, steps int) bool {
 			}
 			m.nextID++
 			r := &Request{ID: m.nextID, VM: vm}
-			if _, _, err := m.ctrl.Enqueue(vm, r); err != nil {
+			wantIdle := m.lowestIdle(vm)
+			_, wake, err := m.ctrl.Enqueue(vm, r)
+			if err != nil {
 				t.Logf("enqueue: %v", err)
+				return false
+			}
+			// Wake order: the lowest idle bound core is woken first.
+			if wantIdle >= 0 && (!wake.Valid || wake.Preempt || wake.Core != wantIdle) {
+				t.Logf("enqueue to VM %d woke %+v, want idle core %d", vm, wake, wantIdle)
 				return false
 			}
 			m.queued[r.ID] = r
@@ -92,11 +110,11 @@ func exercise(t *testing.T, seed uint64, steps int) bool {
 			// Isolation: a harvest core only gets harvest work; a primary
 			// core gets its own VM's work, or harvest work when loans are
 			// allowed.
-			if c == 8 && r.VM != 2 {
+			if isHarvest(c) && r.VM != 2 {
 				t.Logf("harvest core got VM %d work", r.VM)
 				return false
 			}
-			if c != 8 && r.VM != 1 && !allow {
+			if !isHarvest(c) && r.VM != 1 && !allow {
 				t.Logf("loan without permission")
 				return false
 			}
@@ -146,7 +164,7 @@ func exercise(t *testing.T, seed uint64, steps int) bool {
 			}
 		case opPreempt:
 			// Preempt a loaned core if one exists.
-			for _, c := range []CoreID{0, 1, 2} {
+			for _, c := range primaryCores {
 				if m.ctrl.State(c) != CoreLoaned {
 					continue
 				}
@@ -170,6 +188,21 @@ func exercise(t *testing.T, seed uint64, steps int) bool {
 		}
 	}
 	return true
+}
+
+// lowestIdle returns the lowest-numbered idle core bound to vm, or -1.
+func (m *model) lowestIdle(vm VMID) CoreID {
+	cores := primaryCores
+	if vm == 2 {
+		cores = harvestCores
+	}
+	low := CoreID(-1)
+	for _, c := range cores {
+		if m.ctrl.State(c) == CoreIdle && (low < 0 || c < low) {
+			low = c
+		}
+	}
+	return low
 }
 
 // invariants checks conservation and structural bounds.

@@ -64,6 +64,9 @@ type Request struct {
 	// InOverflow marks requests currently stored in the VM's software
 	// in-memory overflow subqueue rather than the hardware RQ.
 	InOverflow bool
+	// Owner is an index the caller uses to find its own record of the
+	// request. The controller never reads it.
+	Owner int32
 }
 
 // CoreState tracks what a core bound to a Primary VM's QM is doing. The

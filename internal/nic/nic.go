@@ -45,34 +45,48 @@ func (l Latencies) ArrivalLatency() sim.Duration {
 // NIC routes arrivals to per-VM destinations and stamps payload addresses.
 type NIC struct {
 	lat     Latencies
-	vmTable map[int]bool // registered VM network addresses
+	vmTable []bool // registered VM network addresses, indexed by VM
 	nextBuf uint64
 }
 
 // New builds a NIC with the given latencies.
 func New(lat Latencies) *NIC {
-	return &NIC{lat: lat, vmTable: make(map[int]bool)}
+	return &NIC{lat: lat}
 }
 
 // Latencies reports the NIC's constants.
 func (n *NIC) Latencies() Latencies { return n.lat }
 
 // RegisterVM installs a VM's network address in the NIC's software table
-// (every VM has its own network address, §4.1.3).
+// (every VM has its own network address, §4.1.3). VM indices are small
+// and non-negative; a negative one is never routable.
 func (n *NIC) RegisterVM(vm int) {
+	if vm < 0 {
+		return
+	}
+	for vm >= len(n.vmTable) {
+		n.vmTable = append(n.vmTable, false)
+	}
 	n.vmTable[vm] = true
 }
 
 // DeregisterVM removes a VM from the table.
 func (n *NIC) DeregisterVM(vm int) {
-	delete(n.vmTable, vm)
+	if n.routes(vm) {
+		n.vmTable[vm] = false
+	}
+}
+
+// routes reports whether vm is registered.
+func (n *NIC) routes(vm int) bool {
+	return vm >= 0 && vm < len(n.vmTable) && n.vmTable[vm]
 }
 
 // Deposit models packet arrival for a VM: it validates the destination,
 // allocates an LLC payload address (DDIO), and reports the latency until the
 // destination QM knows about the request.
 func (n *NIC) Deposit(vm int, payloadBytes int) (payloadAddr uint64, lat sim.Duration, err error) {
-	if !n.vmTable[vm] {
+	if !n.routes(vm) {
 		return 0, 0, fmt.Errorf("nic: no route to VM %d", vm)
 	}
 	// Payload addresses are namespaced per packet; the LLC is partitioned

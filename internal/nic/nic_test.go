@@ -44,6 +44,14 @@ func TestDepositUnknownVM(t *testing.T) {
 	if _, _, err := n.Deposit(9, 64); err == nil {
 		t.Fatal("deregistered VM should error")
 	}
+	// The table is indexed by VM: IDs outside it are unrouted, not a panic.
+	n.RegisterVM(-1)
+	n.DeregisterVM(1 << 40)
+	for _, vm := range []int{-1, 10, 1 << 40} {
+		if _, _, err := n.Deposit(vm, 64); err == nil {
+			t.Fatalf("VM %d should be unrouted", vm)
+		}
+	}
 }
 
 func TestLargePayloadCostsMore(t *testing.T) {
