@@ -171,38 +171,17 @@ func main() {
 	}
 	experiments.SetParallelism(*parallel)
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			// An explicit GC makes the heap profile reflect live data and
-			// complete allocation counts, not a mid-cycle snapshot.
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
-		}()
-	}
+	}()
 
 	if *list {
 		for _, r := range experiments.Runners() {
@@ -382,4 +361,43 @@ func printCounters(w io.Writer, id string, tracers []*obs.SpanTracer) {
 		fmt.Fprintf(w, "%s\n  %s\n  latency %s\n", t.Run(), t.Counters(), t.Hist())
 	}
 	fmt.Fprintln(w)
+}
+
+// startProfiles starts a pprof CPU profile into cpuPath; either path may be
+// empty. The returned stop function ends the CPU profile and writes a heap
+// profile into memPath.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		// An explicit GC makes the heap profile reflect live data and
+		// complete allocation counts, not a mid-cycle snapshot.
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

@@ -183,6 +183,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-exp", "table1", "-sample-us", "-5"},
 		{"-exp", "table1", "-parallel", "-1"},
 		{"-exp", "table1", "-measure-ms", "-100"},
+		{"run", "-shards", "-3", "fleet.yaml"},
 	}
 	for _, args := range cases {
 		out, stderr, code := hhsim(t, args...)
@@ -278,6 +279,22 @@ func TestScenarioCLI(t *testing.T) {
 			t.Errorf("-shards %s changed the summary:\n--- default ---\n%s--- shards=%s ---\n%s",
 				n, runA, n, runN)
 		}
+	}
+
+	// Profiling observes the run without changing it, and writes gzipped
+	// pprof protobufs.
+	cpuProf, memProf := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	runP, stderr, code := hhsim(t, "run", "-cpuprofile", cpuProf, "-memprofile", memProf, good)
+	if code != 0 || runP != runA {
+		t.Errorf("profiled run: exit %d, summary changed: %v (stderr %q)", code, runP != runA, stderr)
+	}
+	for _, path := range []string{cpuProf, memProf} {
+		if b, err := os.ReadFile(path); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s is not a gzipped pprof profile (err %v)", path, err)
+		}
+	}
+	if _, _, code = hhsim(t, "validate", "-cpuprofile", cpuProf, good); code != 2 {
+		t.Errorf("validate -cpuprofile: exit %d, want 2", code)
 	}
 
 	out, _, code = hhsim(t, "run", failing)

@@ -19,17 +19,21 @@ import (
 // when every declared assertion and implicit oracle check passes, 1 when
 // any fails (or the run itself errors), 2 for a malformed scenario or
 // usage.
-func scenarioMain(cmd string, args []string) int {
+func scenarioMain(cmd string, args []string) (code int) {
 	fs := flag.NewFlagSet("hhsim "+cmd, flag.ContinueOnError)
 	shards := fs.Int("shards", 0,
-		"worker goroutines for the sharded fleet runner (0 = all CPUs); the summary is byte-identical at any value")
+		"worker goroutines for fleets without a router or DAG (0 = all CPUs); routed and DAG fleets run "+
+			"on one goroutine, as their windows are too short to hand off; the summary is byte-identical at any value")
 	perturb := fs.String("perturb", "",
 		"corrupt a ledger to prove an oracle has teeth (fields: fleet-conservation, graph-mc)")
 	strict := fs.Bool("strict", false,
 		"panic on the first invariant violation with replay info (instead of counting violations)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 	fs.Usage = func() {
 		if cmd == "run" {
-			fmt.Fprintf(os.Stderr, "usage: hhsim run [-shards n] [-strict] [-perturb fleet-conservation|graph-mc] <scenario.(yaml|json)>\n")
+			fmt.Fprintf(os.Stderr, "usage: hhsim run [-shards n] [-strict] [-perturb fleet-conservation|graph-mc] "+
+				"[-cpuprofile file] [-memprofile file] <scenario.(yaml|json)>\n")
 			fmt.Fprintf(os.Stderr, "  runs one fleet scenario and prints its summary; exit 1 if assertions fail\n")
 		} else {
 			fmt.Fprintf(os.Stderr, "usage: hhsim validate <scenario.(yaml|json)>...\n")
@@ -38,6 +42,11 @@ func scenarioMain(cmd string, args []string) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "hhsim %s: -shards must be >= 0 (0 = all CPUs), got %d\n", cmd, *shards)
+		fs.Usage()
 		return 2
 	}
 	files := fs.Args()
@@ -53,6 +62,10 @@ func scenarioMain(cmd string, args []string) int {
 		}
 		if *strict {
 			fmt.Fprintln(os.Stderr, "-strict only applies to run")
+			return 2
+		}
+		if *cpuProfile != "" || *memProfile != "" {
+			fmt.Fprintln(os.Stderr, "-cpuprofile and -memprofile only apply to run")
 			return 2
 		}
 		rc := 0
@@ -97,6 +110,17 @@ func scenarioMain(cmd string, args []string) int {
 		fmt.Fprintf(os.Stderr, "unknown -perturb field %q (fields: fleet-conservation, graph-mc)\n", *perturb)
 		return 2
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}()
 	rep, err := sc.RunShards(*shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

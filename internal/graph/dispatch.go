@@ -32,8 +32,7 @@ const (
 	gOpRoot               // explicit ScheduleRoot admission (test hook)
 )
 
-// Cross-member message payloads (one allocation each; they cross
-// goroutine boundaries between shard windows, so pooling would race).
+// Cross-member message payloads (one allocation each).
 type dispatchMsg struct {
 	vm      int
 	attempt uint64

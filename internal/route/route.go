@@ -129,9 +129,7 @@ const (
 	rOpCrash                      // a: *crashMsg — crash/recovery notification
 )
 
-// Cross-member message payloads. One small object is allocated per message:
-// payloads cross goroutine boundaries between windows, so pooling them on
-// either side would race.
+// Cross-member message payloads. One small object is allocated per message.
 type dispatchMsg struct {
 	vm      int
 	attempt uint64

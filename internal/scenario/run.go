@@ -23,10 +23,10 @@ import (
 // control-plane detail that never perturbs the simulated event sequence.
 // Servers are independent (no cross-server events) and become members of a
 // sim.ShardGroup — one engine per server, advanced in parallel across
-// worker goroutines — with seeds derived exactly as RunCluster derives
-// them. The group's conservative windows are independent of the worker
-// count, so identical inputs produce a byte-identical summary at any
-// -shards value, including 1.
+// worker goroutines unless a router or dispatcher links them — with seeds
+// derived exactly as RunCluster derives them. The group's conservative
+// windows are independent of the worker count, so identical inputs produce
+// a byte-identical summary at any -shards value, including 1.
 
 // action kinds, in the order they apply within one barrier.
 type actKind int
@@ -376,13 +376,16 @@ func (st *srvState) scheduleActions() {
 }
 
 // RunShards is Run with an explicit worker count: the fleet becomes a
-// sim.ShardGroup with one member per server, advanced on up to `shards`
-// goroutines (<= 0 selects GOMAXPROCS). Fleet servers exchange no events,
-// so every member advances to the horizon in one conservative window; the
-// group's window algorithm is independent of the worker count, so summaries
-// are byte-identical at any shards value. Fleet servers record latencies in
-// bounded sketch mode (stats.Sketch): memory stays flat across
-// thousand-server, long-horizon runs.
+// sim.ShardGroup with one member per server. A plain fleet's servers
+// exchange no events, so every member advances to the horizon in one
+// window, on up to `shards` goroutines (<= 0 selects GOMAXPROCS). A routed
+// or DAG fleet links its servers to the router or dispatcher; its windows
+// last at most one network delay, too little work per member to hand to
+// another goroutine, so they run on the calling goroutine and `shards` has
+// no effect. The group's window algorithm is independent of the worker
+// count, so summaries are byte-identical at any shards value. Fleet
+// servers record latencies in bounded sketch mode (stats.Sketch): memory
+// stays flat across thousand-server, long-horizon runs.
 func (sc *Scenario) RunShards(shards int) (*Report, error) {
 	specs, racts, gacts, err := sc.compile()
 	if err != nil {

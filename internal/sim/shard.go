@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// Sharded execution: a ShardGroup runs many Engines in parallel while
-// preserving the exact event order every engine would see serially.
+// Sharded execution: a ShardGroup runs many Engines while preserving the
+// exact event order every engine would see serially.
 //
 // Each member owns one Engine plus the model code that advances it; members
 // interact only through explicit links with a declared lookahead — the
@@ -19,16 +20,24 @@ import (
 //  1. Deliver queued cross-member messages into their target engines, in
 //     (when, source, per-source sequence) order — a total order, so the
 //     target engine assigns the same internal sequence numbers no matter
-//     which goroutine produced the messages or when.
+//     in which order the messages were sent.
 //  2. Compute each member's event floor — the earliest instant it could
 //     possibly execute anything — as a fixpoint over next-event times and
 //     inbound lookaheads (a member with no pending events can still be
 //     activated transitively by a chain of future messages).
 //  3. Advance each member to its safe cap: the horizon, bounded by
 //     floor(src) + lookahead - 1 over its inbound links. No message can
-//     arrive below the cap, so members advance in parallel with no locks
-//     on the hot path. Members whose cap grants nothing new are skipped in
-//     O(1) — the idle fast-forward.
+//     arrive below the cap, so the order in which members advance within a
+//     window does not matter. Members whose cap grants nothing new are
+//     skipped in O(1) — the idle fast-forward.
+//
+// Where the members of a window run depends on whether the group has links.
+// A linked group runs every window on the goroutine that called Run: a
+// window spans at most one lookahead of simulated time (tens of µs for a
+// NIC), which gives each member a few µs of host work — less than handing
+// it to another core costs. A link-free group (a fleet of independent
+// servers) runs one window per Run call, with every member capped at the
+// horizon, and fans that window out across up to Workers goroutines.
 //
 // The window boundaries depend only on event floors and lookaheads — never
 // on the worker count — so a group produces byte-identical simulation
@@ -39,9 +48,13 @@ type ShardGroup struct {
 	members []*shardMember
 	// links[dst] lists the inbound links of member dst.
 	links [][]shardLink
+	// linked is set by the first Link: from then on every window runs on
+	// the calling goroutine, so Send never races with another member.
+	linked bool
 
-	// floors is the per-window scratch for the fixpoint in step 2.
+	// floors and batch are per-window scratch for steps 2 and 3.
 	floors []Time
+	batch  []*shardMember
 }
 
 type shardLink struct {
@@ -58,14 +71,11 @@ type shardMember struct {
 	// doneTo is the highest cap this member has fully advanced to.
 	doneTo Time
 
-	// sendSeq numbers this member's outgoing messages; only the member's
-	// own advance goroutine touches it.
+	// sendSeq numbers this member's outgoing messages.
 	sendSeq uint64
 
-	// inbox collects messages addressed to this member. Producers append
-	// under mu from their own advance goroutines; the coordinator drains it
-	// between windows.
-	mu    sync.Mutex
+	// inbox collects messages addressed to this member until the next
+	// window's delivery drains it.
 	inbox []shardMsg
 }
 
@@ -81,8 +91,10 @@ type shardMsg struct {
 
 const shardInf = Time(1<<61 - 1)
 
-// NewShardGroup builds a group that executes eligible members on up to
-// `workers` goroutines per window; workers <= 0 selects GOMAXPROCS.
+// NewShardGroup builds a group that runs the members of a link-free window
+// on up to `workers` goroutines; workers <= 0 selects GOMAXPROCS. Once the
+// group has a link, every window runs on the goroutine that calls Run and
+// the worker count has no effect (see ShardGroup).
 func NewShardGroup(workers int) *ShardGroup {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -90,7 +102,7 @@ func NewShardGroup(workers int) *ShardGroup {
 	return &ShardGroup{workers: workers}
 }
 
-// Workers reports the goroutine budget per window.
+// Workers reports the goroutine budget of a link-free window.
 func (g *ShardGroup) Workers() int { return g.workers }
 
 // Members reports the number of members added.
@@ -126,7 +138,8 @@ func (g *ShardGroup) AddFunc(eng *Engine, advance func(to Time)) int {
 // Link declares that src may send messages to dst with at least `lookahead`
 // of simulated delay. The lookahead must be strictly positive: it is what
 // lets dst run ahead of src, and a zero-delay channel would serialize the
-// pair (and admit causality cycles).
+// pair (and admit causality cycles). Links must be declared before Run or
+// between Run calls, never from advance code.
 func (g *ShardGroup) Link(src, dst int, lookahead Duration) {
 	if src == dst {
 		panic("sim: self-link (schedule on the member's own engine instead)")
@@ -137,6 +150,7 @@ func (g *ShardGroup) Link(src, dst int, lookahead Duration) {
 	g.checkID(src)
 	g.checkID(dst)
 	g.links[dst] = append(g.links[dst], shardLink{src: src, lookahead: lookahead})
+	g.linked = true
 }
 
 func (g *ShardGroup) checkID(id int) {
@@ -151,6 +165,8 @@ func (g *ShardGroup) checkID(id int) {
 // lookahead — violating the lookahead would let a message land in dst's
 // already-simulated past, so it panics loudly instead of corrupting the
 // run. Delivery order into dst is deterministic regardless of worker count.
+// Send takes no lock: a group that can send has a link, so its members all
+// advance on the goroutine that called Run.
 func (g *ShardGroup) Send(src, dst int, delay Duration, cb Callback, op int32, a, b any) {
 	g.checkID(src)
 	g.checkID(dst)
@@ -171,30 +187,30 @@ func (g *ShardGroup) Send(src, dst int, delay Duration, cb Callback, op int32, a
 	d := g.members[dst]
 	msg := shardMsg{when: s.eng.Now().Add(delay), src: src, seq: s.sendSeq, cb: cb, op: op, a: a, b: b}
 	s.sendSeq++
-	d.mu.Lock()
 	d.inbox = append(d.inbox, msg)
-	d.mu.Unlock()
+}
+
+// cmpShardMsg orders messages by (when, src, seq); the key is unique, so
+// the order is total.
+func cmpShardMsg(x, y shardMsg) int {
+	if c := cmp.Compare(x.when, y.when); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.src, y.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // deliver drains every inbox into its engine, in (when, src, seq) order —
 // a total order, so each engine's internal event sequence is reproducible.
 func (g *ShardGroup) deliver() {
 	for _, m := range g.members {
-		// No lock needed: deliver runs on the coordinator between windows,
-		// when no advance goroutines are live.
 		if len(m.inbox) == 0 {
 			continue
 		}
 		box := m.inbox
-		sort.Slice(box, func(i, j int) bool {
-			if box[i].when != box[j].when {
-				return box[i].when < box[j].when
-			}
-			if box[i].src != box[j].src {
-				return box[i].src < box[j].src
-			}
-			return box[i].seq < box[j].seq
-		})
+		slices.SortFunc(box, cmpShardMsg)
 		for _, msg := range box {
 			if msg.when <= m.doneTo {
 				panic(fmt.Sprintf("sim: shard causality violation: message at %v for member %d already at %v",
@@ -259,7 +275,7 @@ func (g *ShardGroup) Run(horizon Time) {
 		}
 		g.computeFloors()
 		// Caps: how far each member may run this window.
-		var batch []*shardMember
+		batch := g.batch[:0]
 		for i, m := range g.members {
 			cap := horizon
 			for _, l := range g.links[i] {
@@ -279,6 +295,7 @@ func (g *ShardGroup) Run(horizon Time) {
 			m.doneTo = cap
 			batch = append(batch, m)
 		}
+		g.batch = batch
 		if len(batch) == 0 {
 			continue // a delivery or floor change must unblock the next loop
 		}
@@ -286,15 +303,13 @@ func (g *ShardGroup) Run(horizon Time) {
 	}
 }
 
-// runBatch executes the window's eligible members on up to g.workers
-// goroutines. The members were assigned their caps (doneTo) already; the
-// round-robin split only chooses which goroutine runs which member.
+// runBatch executes the window's eligible members, whose caps (doneTo) are
+// already assigned: in order on the calling goroutine for a linked group,
+// else on up to g.workers goroutines, where the round-robin split only
+// chooses which goroutine runs which member.
 func (g *ShardGroup) runBatch(batch []*shardMember) {
-	w := g.workers
-	if w > len(batch) {
-		w = len(batch)
-	}
-	if w <= 1 {
+	w := min(g.workers, len(batch))
+	if g.linked || w <= 1 {
 		for _, m := range batch {
 			m.advance(m.doneTo)
 		}

@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // chainCB schedules a follow-up event on its own engine until limit events
@@ -135,7 +138,7 @@ func (c *burstCB) OnEvent(op int32, a, b any) {
 
 // TestShardGroupDeliveryOrder pins the tie-break for simultaneous
 // cross-member messages: equal timestamps deliver in (source id, send
-// sequence) order, independent of which worker goroutine appended first.
+// sequence) order, independent of the order the senders ran in.
 func TestShardGroupDeliveryOrder(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		g := NewShardGroup(workers)
@@ -233,6 +236,104 @@ func TestShardGroupAddFunc(t *testing.T) {
 		if caps[i] <= caps[i-1] {
 			t.Fatalf("caps not strictly increasing: %v", caps)
 		}
+	}
+}
+
+// TestShardGroupLinkedRunsSerially pins that a linked group never runs two
+// advance calls at once, whatever its worker budget: each window spans at
+// most one lookahead, too little work per member to pay for a handoff to
+// another goroutine, and Send relies on it to take no lock.
+func TestShardGroupLinkedRunsSerially(t *testing.T) {
+	g := NewShardGroup(8)
+	var inFlight, calls atomic.Int32
+	var overlap atomic.Bool
+	const spokes = 6
+	ids := make([]int, spokes+1)
+	for i := range ids {
+		eng := NewEngine()
+		c := &chainCB{eng: eng, step: Duration(40 + 3*i), limit: 100}
+		eng.ScheduleCall(Duration(i+1), c, 0, nil, nil)
+		ids[i] = g.AddFunc(eng, func(to Time) {
+			if inFlight.Add(1) > 1 {
+				overlap.Store(true)
+			}
+			// Yield so that a concurrently started advance would overlap.
+			runtime.Gosched()
+			eng.Run(to)
+			calls.Add(1)
+			inFlight.Add(-1)
+		})
+	}
+	for _, s := range ids[1:] {
+		g.Link(ids[0], s, 100)
+		g.Link(s, ids[0], 100)
+	}
+	g.Run(Time(50_000))
+	if overlap.Load() {
+		t.Fatal("linked group at 8 workers ran two advance calls at once")
+	}
+	if n := calls.Load(); n <= spokes+1 {
+		t.Fatalf("only %d advance calls: the run did not span several windows", n)
+	}
+}
+
+// TestShardGroupUnlinkedRunsConcurrently pins the link-free fan-out: the two
+// members of a worker-2 group each wait for the other to start, which only
+// succeeds when they run on different goroutines.
+func TestShardGroupUnlinkedRunsConcurrently(t *testing.T) {
+	g := NewShardGroup(2)
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i := 0; i < 2; i++ {
+		eng := NewEngine()
+		self, peer := started[i], started[1-i]
+		g.AddFunc(eng, func(to Time) {
+			close(self)
+			select {
+			case <-peer:
+			case <-time.After(10 * time.Second):
+				t.Error("member advanced alone: link-free window did not fan out")
+			}
+			eng.Run(to)
+		})
+	}
+	g.Run(Time(1_000))
+}
+
+// bounceCB sends every message straight back to its peer, forever.
+type bounceCB struct {
+	g          *ShardGroup
+	self, peer int
+	peerCB     Callback
+	la         Duration
+}
+
+func (c *bounceCB) OnEvent(op int32, a, b any) {
+	c.g.Send(c.self, c.peer, c.la, c.peerCB, op, nil, nil)
+}
+
+// TestShardGroupWindowAllocFree: once scratch slices and engine slabs have
+// grown, further windows of a linked group allocate nothing.
+func TestShardGroupWindowAllocFree(t *testing.T) {
+	g := NewShardGroup(2)
+	la := Duration(250)
+	a, b := NewEngine(), NewEngine()
+	ida, idb := g.Add(a), g.Add(b)
+	g.Link(ida, idb, la)
+	g.Link(idb, ida, la)
+	ca := &bounceCB{g: g, self: ida, peer: idb, la: la}
+	cb := &bounceCB{g: g, self: idb, peer: ida, la: la, peerCB: ca}
+	ca.peerCB = cb
+	// Two balls in flight, so windows carry traffic both ways.
+	a.ScheduleCall(Duration(10), ca, 0, nil, nil)
+	b.ScheduleCall(Duration(70), cb, 0, nil, nil)
+	horizon := Time(10_000)
+	g.Run(horizon)
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon += 2_000
+		g.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Fatalf("linked windows allocate %.1f times per Run, want 0", allocs)
 	}
 }
 
