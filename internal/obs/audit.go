@@ -1,6 +1,10 @@
 package obs
 
-import "hardharvest/internal/sim"
+import (
+	"math/bits"
+
+	"hardharvest/internal/sim"
+)
 
 // Audit is an Observer that accumulates the analytic quantities the
 // validate oracle cross-checks against queueing theory:
@@ -28,7 +32,7 @@ type Audit struct {
 
 	// Little's law: inflight maps a measured call's first request id to
 	// its arrival time; integral advances by n·Δt at every event.
-	inflight map[uint64]sim.Time
+	inflight stamps
 	lastT    sim.Time
 	integral sim.Duration
 
@@ -42,7 +46,7 @@ type Audit struct {
 
 	// Queue waits: enq holds the last enqueue/unblock time per request id;
 	// the next dispatch of that id closes the episode.
-	enq       map[uint64]sim.Time
+	enq       stamps
 	waitSum   sim.Duration
 	waitCount uint64
 
@@ -52,17 +56,12 @@ type Audit struct {
 }
 
 // NewAudit returns an empty audit.
-func NewAudit() *Audit {
-	return &Audit{
-		inflight: make(map[uint64]sim.Time),
-		enq:      make(map[uint64]sim.Time),
-	}
-}
+func NewAudit() *Audit { return &Audit{} }
 
 // advance integrates N(t) up to now. Events arrive in nondecreasing time
 // order from the discrete-event engine.
 func (a *Audit) advance(now sim.Time) {
-	a.integral += sim.Duration(len(a.inflight)) * now.Sub(a.lastT)
+	a.integral += sim.Duration(a.inflight.n) * now.Sub(a.lastT)
 	a.lastT = now
 }
 
@@ -85,13 +84,13 @@ func (a *Audit) Observe(ev Event) {
 	switch ev.Kind {
 	case KindEnqueue, KindUnblock:
 		if ev.Measured {
-			a.enq[ev.Req] = ev.Time
+			a.enq.put(ev.Req, ev.Time)
 		}
 	case KindDispatch:
-		if at, ok := a.enq[ev.Req]; ok {
-			delete(a.enq, ev.Req)
-			a.waitSum += ev.Time.Sub(at)
+		if i := a.enq.find(ev.Req); i >= 0 {
+			a.waitSum += ev.Time.Sub(a.enq.slots[i].at)
 			a.waitCount++
+			a.enq.deleteAt(i)
 		}
 	}
 	if !ev.Measured {
@@ -100,22 +99,22 @@ func (a *Audit) Observe(ev Event) {
 	switch ev.Kind {
 	case KindArrival:
 		a.advance(ev.Time)
-		a.inflight[ev.Req] = ev.Time
+		a.inflight.put(ev.Req, ev.Time)
 		if !a.haveArrival {
 			a.firstArrival = ev.Time
 			a.haveArrival = true
 		}
 	case KindComplete:
-		if _, ok := a.inflight[ev.Req]; ok {
+		if i := a.inflight.find(ev.Req); i >= 0 {
 			a.advance(ev.Time)
-			delete(a.inflight, ev.Req)
+			a.inflight.deleteAt(i)
 			a.latSum += ev.Dur
 			a.latCount++
 		}
 	case KindDeadlineMiss:
-		if _, ok := a.inflight[ev.Req]; ok {
+		if i := a.inflight.find(ev.Req); i >= 0 {
 			a.advance(ev.Time)
-			delete(a.inflight, ev.Req)
+			a.inflight.deleteAt(i)
 			a.missSum += ev.Dur
 			a.missCount++
 		}
@@ -155,10 +154,12 @@ func (a *Audit) MissSum() (sim.Duration, uint64) { return a.missSum, a.missCount
 // their total residual sojourn (end − arrival each).
 func (a *Audit) Unresolved() (int, sim.Duration) {
 	var resid sim.Duration
-	for _, at := range a.inflight {
-		resid += a.end.Sub(at)
+	for _, s := range a.inflight.slots {
+		if s.key != 0 {
+			resid += a.end.Sub(s.at)
+		}
 	}
-	return len(a.inflight), resid
+	return a.inflight.n, resid
 }
 
 // FirstArrival reports the arrival time of the first measured request
@@ -177,3 +178,87 @@ func (a *Audit) MeanQueueWait() (sim.Duration, uint64) {
 // FlushRange reports the smallest and largest critical-path flush cost
 // seen (both zero if no flush occurred).
 func (a *Audit) FlushRange() (min, max sim.Duration) { return a.flushMin, a.flushMax }
+
+// stamps maps request ids to simulated times in one flat open-addressing
+// table (Fibonacci-hashed home slot, linear probing, backward-shift
+// deletion), kept at most half full. It replaces a Go map on the audit's
+// per-event path: the table is two words per slot, never allocates once
+// it has grown to the run's peak in-flight count, and its memory tracks
+// that peak rather than the number of requests seen.
+type stamps struct {
+	slots []stampSlot
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// stampSlot is one table entry; key is the request id plus one, so the
+// zero slot is empty.
+type stampSlot struct {
+	key uint64
+	at  sim.Time
+}
+
+func (s *stamps) home(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> s.shift) }
+
+// find reports the slot holding id, or -1.
+func (s *stamps) find(id uint64) int {
+	if s.n == 0 {
+		return -1
+	}
+	key, mask := id+1, len(s.slots)-1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		switch s.slots[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// put records at for id, replacing any earlier stamp of the same id.
+func (s *stamps) put(id uint64, at sim.Time) {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	key, mask := id+1, len(s.slots)-1
+	i := s.home(key)
+	for s.slots[i].key != 0 && s.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	if s.slots[i].key == 0 {
+		s.n++
+	}
+	s.slots[i] = stampSlot{key: key, at: at}
+}
+
+// deleteAt empties slot i (a live slot from find) and shifts later
+// entries of its probe run back, so every remaining key stays reachable
+// from its home slot without tombstones.
+func (s *stamps) deleteAt(i int) {
+	mask := len(s.slots) - 1
+	for j := (i + 1) & mask; s.slots[j].key != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if that keeps it at
+		// or after its home slot along the probe sequence.
+		if (j-s.home(s.slots[j].key))&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = stampSlot{}
+	s.n--
+}
+
+// grow doubles the table (16 slots at first) and reinserts every entry.
+func (s *stamps) grow() {
+	old := s.slots
+	size := max(16, 2*len(old))
+	s.slots = make([]stampSlot, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.n = 0
+	for _, e := range old {
+		if e.key != 0 {
+			s.put(e.key-1, e.at)
+		}
+	}
+}

@@ -17,10 +17,14 @@ const histSubBits = 5
 // LatencyHist is an HDR-style log-bucketed latency histogram over simulated
 // durations (integer picoseconds): values below 2^histSubBits are exact;
 // above that, each power of two is split into 2^histSubBits sub-buckets.
-// Recording is O(1) and allocation-free after the bucket array stops
-// growing.
+// Only the window of buckets between the smallest and largest recorded
+// value is stored, and the window grows by doubling, so recording is O(1),
+// a sweep of ever-larger values reallocates O(log n) times, and recording
+// is allocation-free once the window covers the value range.
 type LatencyHist struct {
+	// buckets[i] counts bucket index lo+i.
 	buckets []uint64
+	lo      int
 	count   uint64
 	sum     sim.Duration
 	min     sim.Duration
@@ -59,13 +63,7 @@ func (h *LatencyHist) Record(d sim.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i := bucketOf(int64(d))
-	if i >= len(h.buckets) {
-		grown := make([]uint64, i+1)
-		copy(grown, h.buckets)
-		h.buckets = grown
-	}
-	h.buckets[i]++
+	h.buckets[h.slot(bucketOf(int64(d)))]++
 	h.count++
 	h.sum += d
 	if h.min < 0 || d < h.min {
@@ -74,6 +72,35 @@ func (h *LatencyHist) Record(d sim.Duration) {
 	if d > h.max {
 		h.max = d
 	}
+}
+
+// slot reports the position of bucket index i in the window, first
+// widening the window to cover it. Growth at either end at least doubles
+// the window (front growth may therefore store a few empty buckets below
+// the minimum), so a monotone sweep reallocates O(log n) times.
+func (h *LatencyHist) slot(i int) int {
+	switch {
+	case len(h.buckets) == 0:
+		h.lo = i
+		h.buckets = append(h.buckets, 0)
+	case i < h.lo:
+		n := min(max(h.lo-i, len(h.buckets)), h.lo)
+		grown := make([]uint64, n+len(h.buckets))
+		copy(grown[n:], h.buckets)
+		h.buckets, h.lo = grown, h.lo-n
+	case i >= h.lo+len(h.buckets):
+		n := i - h.lo + 1
+		if n > cap(h.buckets) {
+			grown := make([]uint64, n, max(n, 2*cap(h.buckets)))
+			copy(grown, h.buckets)
+			h.buckets = grown
+		} else {
+			old := len(h.buckets)
+			h.buckets = h.buckets[:n]
+			clear(h.buckets[old:])
+		}
+	}
+	return i - h.lo
 }
 
 // Count reports recorded samples.
@@ -125,7 +152,7 @@ func (h *LatencyHist) Quantile(q float64) sim.Duration {
 	for i, c := range h.buckets {
 		seen += c
 		if seen > target {
-			u := bucketUpper(i)
+			u := bucketUpper(h.lo + i)
 			if u > h.max {
 				u = h.max
 			}
@@ -155,13 +182,11 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	if o == nil || o.count == 0 {
 		return
 	}
-	if len(o.buckets) > len(h.buckets) {
-		grown := make([]uint64, len(o.buckets))
-		copy(grown, h.buckets)
-		h.buckets = grown
-	}
+	h.slot(o.lo)
+	h.slot(o.lo + len(o.buckets) - 1)
+	off := o.lo - h.lo
 	for i, c := range o.buckets {
-		h.buckets[i] += c
+		h.buckets[off+i] += c
 	}
 	h.count += o.count
 	h.sum += o.sum
@@ -183,7 +208,7 @@ func (h *LatencyHist) CumulativeBuckets(bounds []sim.Duration) []uint64 {
 	out := make([]uint64, len(bounds))
 	i, cum := 0, uint64(0)
 	for bi, bound := range bounds {
-		for i < len(h.buckets) && bucketUpper(i) <= bound {
+		for i < len(h.buckets) && bucketUpper(h.lo+i) <= bound {
 			cum += h.buckets[i]
 			i++
 		}
@@ -215,7 +240,7 @@ func (h *LatencyHist) Nonzero() ([]sim.Duration, []uint64) {
 	var counts []uint64
 	for i, c := range h.buckets {
 		if c > 0 {
-			edges = append(edges, bucketUpper(i))
+			edges = append(edges, bucketUpper(h.lo+i))
 			counts = append(counts, c)
 		}
 	}

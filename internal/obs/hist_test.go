@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -236,5 +237,210 @@ func TestHistMergeEqualsCombinedRecording(t *testing.T) {
 	c.Merge(both)
 	if c.String() != both.String() {
 		t.Errorf("merge into empty diverged: %s vs %s", c.String(), both.String())
+	}
+}
+
+// TestHistSweepAllocations: the bucket window grows by doubling, so
+// recording an increasing sweep that reaches a new maximum bucket on almost
+// every sample reallocates O(log n) times, not once per new maximum.
+func TestHistSweepAllocations(t *testing.T) {
+	const n = 4096
+	var buckets int
+	allocs := testing.AllocsPerRun(10, func() {
+		h := NewLatencyHist()
+		for i := 1; i <= n; i++ {
+			h.Record(sim.Duration(i) * sim.Duration(i) * 997)
+		}
+		buckets = len(h.buckets)
+	})
+	// One for the histogram, then one per doubling of the window.
+	bound := 2 + math.Ceil(math.Log2(float64(buckets)))
+	if allocs > bound {
+		t.Fatalf("increasing sweep over %d buckets: %.0f allocs, want <= %.0f", buckets, allocs, bound)
+	}
+	if buckets < 200 {
+		t.Fatalf("sweep spans only %d buckets; the test needs a wide window", buckets)
+	}
+}
+
+// denseHist is the reference layout: one counter per bucket index from 0,
+// with quantiles and exports computed exactly as LatencyHist documents them.
+type denseHist struct {
+	buckets  []uint64
+	count    uint64
+	sum      sim.Duration
+	min, max sim.Duration
+}
+
+func (d *denseHist) record(v sim.Duration) {
+	if v < 0 {
+		v = 0
+	}
+	i := bucketOf(int64(v))
+	for len(d.buckets) <= i {
+		d.buckets = append(d.buckets, 0)
+	}
+	d.buckets[i]++
+	if d.count == 0 || v < d.min {
+		d.min = v
+	}
+	d.max = max(d.max, v)
+	d.count++
+	d.sum += v
+}
+
+func (d *denseHist) merge(o *denseHist) {
+	for len(d.buckets) < len(o.buckets) {
+		d.buckets = append(d.buckets, 0)
+	}
+	for i, c := range o.buckets {
+		d.buckets[i] += c
+	}
+	if o.count > 0 && (d.count == 0 || o.min < d.min) {
+		d.min = o.min
+	}
+	d.max = max(d.max, o.max)
+	d.count += o.count
+	d.sum += o.sum
+}
+
+func (d *denseHist) quantile(q float64) sim.Duration {
+	switch {
+	case d.count == 0:
+		return 0
+	case q <= 0:
+		return d.min
+	case q >= 1:
+		return d.max
+	}
+	target := uint64(q * float64(d.count))
+	var seen uint64
+	for i, c := range d.buckets {
+		seen += c
+		if seen > target {
+			return min(bucketUpper(i), d.max)
+		}
+	}
+	return d.max
+}
+
+func (d *denseHist) cumulative(bounds []sim.Duration) []uint64 {
+	out := make([]uint64, len(bounds))
+	for bi, b := range bounds {
+		for i, c := range d.buckets {
+			if bucketUpper(i) <= b {
+				out[bi] += c
+			}
+		}
+	}
+	return out
+}
+
+func (d *denseHist) nonzero() (edges []sim.Duration, counts []uint64) {
+	for i, c := range d.buckets {
+		if c > 0 {
+			edges = append(edges, bucketUpper(i))
+			counts = append(counts, c)
+		}
+	}
+	return edges, counts
+}
+
+// checkAgainstDense compares every read path of h with the reference.
+func checkAgainstDense(t *testing.T, label string, h *LatencyHist, d *denseHist) {
+	t.Helper()
+	if h.Count() != d.count || h.Sum() != d.sum || h.Max() != d.max ||
+		(d.count > 0 && h.Min() != d.min) {
+		t.Fatalf("%s: summary n=%d sum=%v min=%v max=%v, want n=%d sum=%v min=%v max=%v",
+			label, h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.min, d.max)
+	}
+	for q := 0.0; q <= 1.0; q += 1.0 / 256 {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", label, q, got, want)
+		}
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", label, q, got, want)
+		}
+	}
+	var bounds []sim.Duration
+	for b := sim.Duration(1); b < 1<<45; b = b*3/2 + 1 {
+		bounds = append(bounds, b)
+	}
+	got, want := h.CumulativeBuckets(bounds), d.cumulative(bounds)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: CumulativeBuckets le %v = %d, want %d", label, bounds[i], got[i], want[i])
+		}
+	}
+	ge, gc := h.Nonzero()
+	we, wc := d.nonzero()
+	if len(ge) != len(we) {
+		t.Fatalf("%s: Nonzero has %d buckets, want %d", label, len(ge), len(we))
+	}
+	for i := range we {
+		if ge[i] != we[i] || gc[i] != wc[i] {
+			t.Fatalf("%s: Nonzero[%d] = (%v, %d), want (%v, %d)", label, i, ge[i], gc[i], we[i], wc[i])
+		}
+	}
+	ref := fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v p99.9=%v max=%v",
+		d.count, h.Mean(), d.quantile(0.5), d.quantile(0.9), d.quantile(0.99), d.quantile(0.999), d.max)
+	if h.String() != ref {
+		t.Fatalf("%s: String() = %q, want %q", label, h.String(), ref)
+	}
+}
+
+// TestHistWindowMatchesDense: the windowed histogram reports exactly what
+// a dense bucket array from index 0 reports, on random streams whose value
+// ranges move up and down (so the window grows at both ends), after Clone,
+// and after merging histograms whose windows do not overlap.
+func TestHistWindowMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sample := func(lo, hi float64) sim.Duration {
+		// Log-uniform in [lo, hi): spans many octaves and sub-buckets.
+		return sim.Duration(math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo))))
+	}
+	for trial := 0; trial < 40; trial++ {
+		h, d := NewLatencyHist(), &denseHist{}
+		lo := math.Exp(rng.Float64() * 30)
+		for i, n := 0, 1+rng.Intn(3000); i < n; i++ {
+			if i%500 == 499 {
+				lo = math.Exp(rng.Float64() * 30) // move the range
+			}
+			v := sample(lo, lo*(1+rng.Float64()*1e3))
+			if rng.Intn(50) == 0 {
+				v = -v // clamps to zero
+			}
+			h.Record(v)
+			d.record(v)
+		}
+		label := fmt.Sprintf("trial %d", trial)
+		checkAgainstDense(t, label, h, d)
+
+		c := h.Clone()
+		h.Record(sample(1, 1e12)) // must not leak into the clone
+		checkAgainstDense(t, label+" clone", c, d)
+
+		// Merge two histograms with disjoint windows, in both directions.
+		a, b := NewLatencyHist(), NewLatencyHist()
+		da, db := &denseHist{}, &denseHist{}
+		for i := 0; i < 200; i++ {
+			v := sample(100, 1e4)
+			a.Record(v)
+			da.record(v)
+			w := sample(1e9, 1e11)
+			b.Record(w)
+			db.record(w)
+		}
+		if a.lo+len(a.buckets) > b.lo {
+			t.Fatalf("windows overlap: [%d,%d) and [%d,%d)", a.lo, a.lo+len(a.buckets), b.lo, b.lo+len(b.buckets))
+		}
+		ab, ba := a.Clone(), b.Clone()
+		ab.Merge(b)
+		ba.Merge(a)
+		da.merge(db)
+		checkAgainstDense(t, label+" merge low+high", ab, da)
+		checkAgainstDense(t, label+" merge high+low", ba, da)
 	}
 }

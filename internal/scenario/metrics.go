@@ -13,13 +13,13 @@ import (
 )
 
 // serverRun is one finished server of the fleet: its result plus the
-// independent observers the runner attached.
+// ledger the runner attached, which re-derives the oracle's quantities from
+// the event stream independently of the result.
 type serverRun struct {
-	index int // fleet index
-	group string
-	res   *cluster.ServerResult
-	meter *obs.Meter
-	audit *obs.Audit
+	index  int // fleet index
+	group  string
+	res    *cluster.ServerResult
+	ledger *obs.Ledger
 }
 
 // metricDef describes one assertable metric. Numeric metrics expose a
@@ -67,7 +67,7 @@ func (d metricDef) tier() bool { return d.tierEval != nil }
 
 func msOf(q float64) func(r *serverRun) float64 {
 	return func(r *serverRun) float64 {
-		return r.meter.Hist().Quantile(q).Milliseconds()
+		return r.ledger.Hist().Quantile(q).Milliseconds()
 	}
 }
 
@@ -79,7 +79,7 @@ var metricCatalog = []metricDef{
 	{name: "p95_ms", help: "95th-percentile request latency (milliseconds)", eval: msOf(0.95)},
 	{name: "p99_ms", help: "99th-percentile request latency (milliseconds)", eval: msOf(0.99)},
 	{name: "mean_ms", help: "mean request latency (milliseconds)", eval: func(r *serverRun) float64 {
-		return r.meter.Hist().Mean().Milliseconds()
+		return r.ledger.Hist().Mean().Milliseconds()
 	}},
 	{name: "arrivals", help: "requests that entered the server in the measurement window", eval: func(r *serverRun) float64 {
 		return float64(r.res.Arrivals)
@@ -180,11 +180,11 @@ var metricCatalog = []metricDef{
 		}},
 	{name: "flow_balance", help: "oracle check: event-stream flow equals simulator counters exactly",
 		check: func(r *serverRun) validate.Check {
-			return validate.FlowBalance(fmt.Sprintf("server%d", r.index), r.res, r.audit)
+			return validate.FlowBalance(fmt.Sprintf("server%d", r.index), r.res, &r.ledger.Audit)
 		}},
 	{name: "littles_law", help: "oracle check: exact Little's-law identity over the audited span",
 		check: func(r *serverRun) validate.Check {
-			return validate.LittlesLawIdentity(fmt.Sprintf("server%d", r.index), r.res, r.audit)
+			return validate.LittlesLawIdentity(fmt.Sprintf("server%d", r.index), r.res, &r.ledger.Audit)
 		}},
 }
 

@@ -285,18 +285,62 @@ func (r *Report) OK() bool { return r.Failed == 0 }
 func (sc *Scenario) Run() (*Report, error) { return sc.RunShards(0) }
 
 // srvState is one fleet server being advanced inside the shard group: the
-// live server plus its barrier-loop cursor. Each state is touched by exactly
-// one advance call at a time; the group's window barriers order those calls.
+// live server plus its barrier-loop cursor, then, once retired, its result
+// and ledger. Each state is touched by exactly one advance call at a time;
+// the group's window barriers order those calls.
 type srvState struct {
 	spec    *serverSpec
-	srv     *cluster.Server
-	meter   *obs.Meter
-	audit   *obs.Audit
+	srv     *cluster.Server // nil before build and after retire
+	ledger  *obs.Ledger
+	res     *cluster.ServerResult // set by retire
 	barrier sim.Time
 	next    int // next un-applied action
 	applied int
 	done    bool
 	err     error
+}
+
+// build constructs the server with a fresh ledger as its observer. Fleet
+// servers record latencies in bounded sketch mode; a linked (routed or DAG)
+// fleet admits requests through its front door instead of local generators.
+func (st *srvState) build(remote bool) {
+	st.ledger = obs.NewLedger()
+	opts := st.spec.opts
+	opts.Observer = st.ledger
+	opts.SketchLatency = true
+	opts.RemoteAdmission = remote
+	st.srv = cluster.NewServer(st.spec.cfg, opts, st.spec.work)
+}
+
+// retire finishes the server and drops it, so only its result and ledger
+// stay live.
+func (st *srvState) retire() {
+	st.res = st.srv.Finish()
+	st.ledger.Finish(st.res.AccountedEnd)
+	st.srv = nil
+}
+
+// member is a plain-fleet server's shard-group advance. The server is built
+// on the first call, on whichever worker runs it, and retired the moment it
+// reaches its horizon (or dropped on an action error). The group holds no
+// engine for the member, so a retired server is garbage while the rest of
+// the fleet still runs: fleet memory tracks the servers in flight, not the
+// servers already simulated.
+func (st *srvState) member(to sim.Time) {
+	if st.srv == nil {
+		if st.done || st.err != nil {
+			return
+		}
+		st.build(false)
+		st.srv.Start()
+	}
+	st.advance(to)
+	switch {
+	case st.err != nil:
+		st.srv = nil
+	case st.done:
+		st.retire()
+	}
 }
 
 // advance runs the server's barrier loop up to simulated time `to`
@@ -375,10 +419,28 @@ func (st *srvState) scheduleActions() {
 	}
 }
 
+// addPlainMembers registers one engine-less member per server of a plain
+// fleet and reports the group horizon. Nothing is built yet: the horizon
+// comes from the configs, and each member builds its server on its first
+// advance (srvState.member).
+func addPlainMembers(group *sim.ShardGroup, specs []*serverSpec) ([]*srvState, sim.Time) {
+	states := make([]*srvState, len(specs))
+	horizon := sim.Time(0)
+	for i, s := range specs {
+		_, _, _, h := s.cfg.RunWindow()
+		horizon = max(horizon, h)
+		states[i] = &srvState{spec: s}
+		group.AddFunc(nil, states[i].member)
+	}
+	return states, horizon
+}
+
 // RunShards is Run with an explicit worker count: the fleet becomes a
 // sim.ShardGroup with one member per server. A plain fleet's servers
 // exchange no events, so every member advances to the horizon in one
-// window, on up to `shards` goroutines (<= 0 selects GOMAXPROCS). A routed
+// window, on up to `shards` goroutines (<= 0 selects GOMAXPROCS); each of
+// its servers is built on its first advance and retired at its horizon
+// (see srvState.member), so at most one server per worker is live. A routed
 // or DAG fleet links its servers to the router or dispatcher; its windows
 // last at most one network delay, too little work per member to hand to
 // another goroutine, so they run on the calling goroutine and `shards` has
@@ -409,16 +471,12 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		}
 		backends := make([]route.Backend, len(specs))
 		for i, s := range specs {
-			meter := obs.NewMeter()
-			audit := obs.NewAudit()
-			s.opts.Observer = obs.Multi(meter, audit)
-			s.opts.SketchLatency = true
-			s.opts.RemoteAdmission = true
-			srv := cluster.NewServer(s.cfg, s.opts, s.work)
-			states[i] = &srvState{spec: s, srv: srv, meter: meter, audit: audit}
-			states[i].scheduleActions()
+			st := &srvState{spec: s}
+			st.build(true)
+			st.scheduleActions()
+			states[i] = st
 			backends[i] = route.Backend{
-				Server: srv, Cfg: s.cfg,
+				Server: st.srv, Cfg: s.cfg,
 				Name:   fmt.Sprintf("server%d[%s]", s.index, s.group.Name),
 				Weight: 1 / s.group.effExecFactor(),
 			}
@@ -449,16 +507,12 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		byGroup := make(map[string][]int, len(sc.Fleet))
 		backends := make([]graph.Backend, len(specs))
 		for i, s := range specs {
-			meter := obs.NewMeter()
-			audit := obs.NewAudit()
-			s.opts.Observer = obs.Multi(meter, audit)
-			s.opts.SketchLatency = true
-			s.opts.RemoteAdmission = true
-			srv := cluster.NewServer(s.cfg, s.opts, s.work)
-			states[i] = &srvState{spec: s, srv: srv, meter: meter, audit: audit}
-			states[i].scheduleActions()
+			st := &srvState{spec: s}
+			st.build(true)
+			st.scheduleActions()
+			states[i] = st
 			backends[i] = graph.Backend{
-				Server: srv, Cfg: s.cfg,
+				Server: st.srv, Cfg: s.cfg,
 				Name: fmt.Sprintf("server%d[%s]", s.index, s.group.Name),
 			}
 			byGroup[s.group.Name] = append(byGroup[s.group.Name], i)
@@ -485,20 +539,7 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 			}
 		}
 	} else {
-		for i, s := range specs {
-			meter := obs.NewMeter()
-			audit := obs.NewAudit()
-			s.opts.Observer = obs.Multi(meter, audit)
-			s.opts.SketchLatency = true
-			srv := cluster.NewServer(s.cfg, s.opts, s.work)
-			srv.Start()
-			if h := srv.Horizon(); h > horizon {
-				horizon = h
-			}
-			st := &srvState{spec: s, srv: srv, meter: meter, audit: audit}
-			states[i] = st
-			group.AddFunc(srv.Engine(), st.advance)
-		}
+		states, horizon = addPlainMembers(group, specs)
 	}
 	group.Run(horizon)
 
@@ -508,11 +549,12 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		if st.err != nil {
 			return nil, fmt.Errorf("scenario: server %d: %w", st.spec.index, st.err)
 		}
-		res := st.srv.Finish()
-		st.audit.Finish(res.AccountedEnd)
+		if st.srv != nil {
+			st.retire() // linked members stay live until the group horizon
+		}
 		applied[i] = st.applied
 		runs = append(runs, &serverRun{
-			index: st.spec.index, group: st.spec.group.Name, res: res, meter: st.meter, audit: st.audit,
+			index: st.spec.index, group: st.spec.group.Name, res: st.res, ledger: st.ledger,
 		})
 	}
 	var fleet *route.Result
@@ -649,8 +691,8 @@ func (sc *Scenario) renderSummary(specs []*serverSpec, runs []*serverRun,
 		fmt.Fprintf(&b, "  result: %s\n", r.res)
 		fmt.Fprintf(&b, "  jobs=%d (%.0f/s) busy=%.2f\n",
 			r.res.HarvestJobs, r.res.HarvestJobsPerSec, r.res.BusyCores)
-		fmt.Fprintf(&b, "  counters: %s\n", r.meter.Counters())
-		fmt.Fprintf(&b, "  latency:  %s\n", r.meter.Hist())
+		fmt.Fprintf(&b, "  counters: %s\n", r.ledger.Counters())
+		fmt.Fprintf(&b, "  latency:  %s\n", r.ledger.Hist())
 		if r.res.InvariantViolations > 0 {
 			fmt.Fprintf(&b, "  INVARIANT VIOLATIONS: %d (first: %s)\n",
 				r.res.InvariantViolations, r.res.FirstViolation)

@@ -64,7 +64,7 @@ type shardLink struct {
 
 type shardMember struct {
 	id      int
-	eng     *Engine
+	eng     *Engine // nil for an engine-less AddFunc member
 	advance func(to Time)
 	autoRun bool // default advance: safe to skip when no events are due
 
@@ -125,6 +125,12 @@ func (g *ShardGroup) Add(eng *Engine) int {
 // actions). Unlike Add, the advance function is invoked for every window
 // even when no engine events are due, because the group cannot know what
 // time-driven work the closure performs.
+//
+// eng may be nil for a member that builds its model inside advance and
+// drops it once done: the group then holds no reference to the model, so a
+// retired member's engine can be garbage-collected while the group runs on.
+// Such a member has no event floor the group could read, so it cannot be
+// linked (Link panics).
 func (g *ShardGroup) AddFunc(eng *Engine, advance func(to Time)) int {
 	if advance == nil {
 		panic("sim: nil advance func")
@@ -149,6 +155,11 @@ func (g *ShardGroup) Link(src, dst int, lookahead Duration) {
 	}
 	g.checkID(src)
 	g.checkID(dst)
+	for _, id := range [2]int{src, dst} {
+		if g.members[id].eng == nil {
+			panic(fmt.Sprintf("sim: member %d has no engine and cannot be linked", id))
+		}
+	}
 	g.links[dst] = append(g.links[dst], shardLink{src: src, lookahead: lookahead})
 	g.linked = true
 }
@@ -232,10 +243,12 @@ func (g *ShardGroup) computeFloors() {
 	}
 	floors := g.floors[:len(g.members)]
 	for i, m := range g.members {
+		floors[i] = shardInf
+		if m.eng == nil {
+			continue // engine-less: unlinked and never idle-skipped
+		}
 		if t, ok := m.eng.NextEventTime(); ok {
 			floors[i] = t
-		} else {
-			floors[i] = shardInf
 		}
 	}
 	for changed := true; changed; {

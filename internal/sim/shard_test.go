@@ -215,6 +215,55 @@ func TestShardGroupPanics(t *testing.T) {
 	mustPanic("send without link", func() { g.Send(b, a, 500, &sinkCB{}, 0, nil, nil) })
 	mustPanic("send below lookahead", func() { g.Send(a, b, 99, &sinkCB{}, 0, nil, nil) })
 	mustPanic("nil advance", func() { g.AddFunc(NewEngine(), nil) })
+	bare := g.AddFunc(nil, func(Time) {})
+	mustPanic("link from engine-less member", func() { g.Link(bare, a, 10) })
+	mustPanic("link to engine-less member", func() { g.Link(a, bare, 10) })
+}
+
+// TestShardGroupEngineLessMembers: an unlinked AddFunc member may carry no
+// engine, building and dropping its model inside advance. The group drives
+// it to the horizon like any member, beside engine-backed members, at any
+// worker count, and the engines it builds run exactly as registered ones.
+func TestShardGroupEngineLessMembers(t *testing.T) {
+	const members = 6
+	run := func(workers int) [][]Time {
+		g := NewShardGroup(workers)
+		cbs := make([]*chainCB, members)
+		for i := 0; i < members; i++ {
+			step := Duration(100 + 7*i)
+			if i%2 == 0 {
+				cbs[i] = &chainCB{eng: NewEngine(), step: step, limit: 50}
+				cbs[i].eng.ScheduleCall(Duration(i+1), cbs[i], 0, nil, nil)
+				g.Add(cbs[i].eng)
+				continue
+			}
+			g.AddFunc(nil, func(to Time) {
+				if cbs[i] == nil {
+					cbs[i] = &chainCB{eng: NewEngine(), step: step, limit: 50}
+					cbs[i].eng.ScheduleCall(Duration(i+1), cbs[i], 0, nil, nil)
+				}
+				cbs[i].eng.Run(to)
+				cbs[i].eng = nil // retired: nothing in the group keeps it
+			})
+		}
+		g.Run(Time(1_000_000))
+		logs := make([][]Time, members)
+		for i, c := range cbs {
+			logs[i] = c.log
+		}
+		return logs
+	}
+	want := run(1)
+	for i, log := range want {
+		if len(log) != 50 {
+			t.Fatalf("member %d fired %d events, want 50", i, len(log))
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("logs differ between 1 worker and %d workers", workers)
+		}
+	}
 }
 
 // TestShardGroupAddFunc checks that custom advance members are driven for

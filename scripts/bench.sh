@@ -33,7 +33,7 @@ CHECK=0
 # ns-gated: end-to-end hot paths (the server loop carries the always-on
 # invariant checker; the sharded path carries the fleet runner).
 NS_GATED_RE='BenchmarkServerSimulation$'
-OTHER_RE='BenchmarkControllerCycle$|BenchmarkRoutedFleet$|BenchmarkShardGroupFleet$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial'
+OTHER_RE='BenchmarkControllerCycle$|BenchmarkRoutedFleet$|BenchmarkServerFleetLedger$|BenchmarkShardGroupFleet$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial'
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
